@@ -26,9 +26,10 @@ Two controller modes (:data:`ADAPTATION_MODES`):
     the incremental scorer: every validated frame (the only frames
     whose cloud labels the edge actually observes) is appended to a
     per-stream :class:`~repro.core.incremental.IncrementalThresholdScorer`,
-    and each adaptation tick re-runs
-    :func:`~repro.core.incremental.coordinate_descent_search` over the
-    stream's accumulated history.  The tuner work is metered:
+    and each adaptation tick runs one grid scan
+    (:func:`~repro.core.incremental.coordinate_descent_search`) whose
+    pair scores fold in only the frames validated since the last tick.
+    The tuner work is metered:
     ``tuner_evaluations`` counts scored pairs, ``tuner_frame_rescores``
     counts full-frame label matches actually performed, and
     ``tuner_grid_rescores`` what the non-incremental evaluator would
@@ -195,7 +196,7 @@ class _FeedbackController(_WindowedController):
 
 
 class _RetuneController(_WindowedController):
-    """Periodic coordinate-descent retune over the stream's validated history."""
+    """Periodic grid-scan retune over the stream's validated history."""
 
     mode = "retune"
 

@@ -1,4 +1,4 @@
-"""Incremental threshold scoring and coordinate-descent search.
+"""Incremental threshold scoring and the grid-scan tuner.
 
 :class:`~repro.core.optimizer.ThresholdEvaluator` re-runs label matching
 over every profiled frame for every candidate ``(θL, θU)`` pair.  But a
@@ -12,36 +12,36 @@ which the frame's VALIDATE/KEEP/DISCARD partition changes.
 :class:`IncrementalThresholdScorer` exploits this: it computes each
 frame's confusion-matrix contribution once per distinct
 ``(discard-count, sent)`` state and reuses it for every threshold pair
-that lands the frame in the same state.  Moving a threshold by one grid
-cell therefore re-matches only the frames whose decision actually
-changed, instead of all frames.  A frame with ``k`` detections has at
-most ``2·(k + 1)`` states, so a full grid sweep costs
+that lands the frame in the same state.  A frame with ``k`` detections
+has at most ``2·(k + 1)`` states, so a full grid scan costs
 ``O(frames · min(k, grid))`` label matches instead of
-``O(frames · grid²)``.
+``O(frames · grid²)``.  Each pair's score is a running fold:
+:meth:`~IncrementalThresholdScorer.add_frame` only appends, and the
+pair's next evaluation folds in just the frames added since, so a
+runtime tuner re-scoring the grid pays for new frames, not history.
 
-:func:`coordinate_descent_search` builds the fast multi-pass tuner on
-top: alternating full-axis sweeps over ``θL`` and ``θU`` (the shape of
-KenMeSH's incremental micro-F tuner and StormPhase2's paired-threshold
-descent) until a fixed point, with the final winner chosen over every
-examined pair in grid order so ties break exactly as
-:func:`~repro.core.optimizer.brute_force_search` breaks them.
+:func:`coordinate_descent_search` is the tuner: one scan of every
+``θL ≤ θU`` grid pair in grid order, with the winner chosen by
+:func:`~repro.core.optimizer.brute_force_search`'s rule, tie-breaks
+included.
 
 Scores are **bit-identical** to ``ThresholdEvaluator.evaluate()``:
 confusion counts are integers (order-free), and latency averages are
-re-summed in trace order from per-frame sent bits, reproducing the
-evaluator's float accumulation exactly.
+``sum()``-ed over trace-order lists exactly as the evaluator sums them
+(a running float ``+=`` would drift from ``sum()``, which compensates
+rounding on Python ≥ 3.12).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 
 from repro.core.optimizer import (
     OptimizationResult,
     ThresholdEvaluator,
     ThresholdScore,
-    _grid,
-    _select_best,
+    brute_force_search,
     hypothetical_observed,
 )
 from repro.core.results import FrameTrace
@@ -84,6 +84,25 @@ class _FrameEntry:
         self.stats: dict[tuple[int, bool], tuple[int, int, int]] = {}
 
 
+@dataclass(slots=True)
+class _PairFold:
+    """Running score of one ``(θL, θU)`` pair over ``frames[:folded]``.
+
+    ``final_latencies`` stays in trace order so its ``sum()`` matches
+    :meth:`ThresholdEvaluator.evaluate`'s bit for bit.
+    """
+
+    lower: float
+    upper: float
+    true_positives: int = 0
+    false_positives: int = 0
+    false_negatives: int = 0
+    sent_count: int = 0
+    final_latencies: list[float] = field(default_factory=list)
+    folded: int = 0
+    score: ThresholdScore | None = None
+
+
 class IncrementalThresholdScorer:
     """Scores threshold pairs in O(frames whose decision changed).
 
@@ -100,7 +119,8 @@ class IncrementalThresholdScorer:
     def __init__(self, traces: list[FrameTrace] | None = None, match_overlap: float = 0.10) -> None:
         self._frames = [_FrameEntry(trace) for trace in (traces or [])]
         self._match_overlap = match_overlap
-        self._cache: dict[tuple[float, float], ThresholdScore] = {}
+        self._folds: dict[tuple[float, float], _PairFold] = {}
+        self._average_initial_latency: float | None = None  # threshold-independent
         self._evaluations = 0
         self._frame_rescores = 0
 
@@ -119,7 +139,7 @@ class IncrementalThresholdScorer:
 
     @property
     def evaluations(self) -> int:
-        """Threshold pairs actually scored (cache hits do no work)."""
+        """Pair scores built or rebuilt (a pair with nothing new to fold does no work)."""
         return self._evaluations
 
     @property
@@ -133,37 +153,34 @@ class IncrementalThresholdScorer:
         return self._frame_rescores
 
     def add_frame(self, trace: FrameTrace) -> None:
-        """Append one profiled frame and invalidate cached pair scores.
+        """Append one profiled frame.
 
-        Per-frame decision states already computed for *other* frames
-        stay cached; only the aggregated ``ThresholdScore``s are stale.
+        Nothing is invalidated: each pair folds the new frame in the
+        next time it is evaluated.
         """
         self._frames.append(_FrameEntry(trace))
-        self._cache.clear()
+        self._average_initial_latency = None
 
     def evaluate(self, lower: float, upper: float) -> ThresholdScore:
         """Score one ``(θL, θU)`` pair, bit-identical to the evaluator."""
         key = (round(lower, 6), round(upper, 6))
-        if key in self._cache:
-            return self._cache[key]
-
-        ThresholdPolicy(lower, upper)  # validate bounds exactly like the evaluator
-        if not self._frames:
-            raise ValueError("cannot evaluate thresholds without any frame traces")
+        frames = self._frames
+        fold = self._folds.get(key)
+        if fold is None:
+            ThresholdPolicy(lower, upper)  # validate bounds exactly like the evaluator
+            if not frames:
+                raise ValueError("cannot evaluate thresholds without any frame traces")
+            fold = self._folds[key] = _PairFold(lower, upper)
+        elif fold.folded == len(frames):
+            return fold.score
         self._evaluations += 1
 
-        true_positives = 0
-        false_positives = 0
-        false_negatives = 0
-        sent_count = 0
-        final_latencies = []
-        initial_latencies = []
-
-        for frame in self._frames:
+        lower, upper = fold.lower, fold.upper
+        final_latencies = fold.final_latencies
+        for frame in frames[fold.folded:]:
             confidences = frame.confidences
             discarded = bisect_left(confidences, lower)
-            below_upper = bisect_right(confidences, upper)
-            sent = below_upper > discarded
+            sent = bisect_right(confidences, upper) > discarded
 
             state = (discarded, sent)
             stats = frame.stats.get(state)
@@ -171,28 +188,34 @@ class IncrementalThresholdScorer:
                 stats = self._frame_stats(frame, discarded, sent)
                 frame.stats[state] = stats
                 self._frame_rescores += 1
-            true_positives += stats[0]
-            false_positives += stats[1]
-            false_negatives += stats[2]
+            fold.true_positives += stats[0]
+            fold.false_positives += stats[1]
+            fold.false_negatives += stats[2]
 
-            initial_latencies.append(frame.initial_latency)
             if sent:
-                sent_count += 1
+                fold.sent_count += 1
                 final_latencies.append(frame.sent_latency)
             else:
                 final_latencies.append(frame.unsent_latency)
+        fold.folded = len(frames)
+        if self._average_initial_latency is None:
+            self._average_initial_latency = (
+                sum(frame.initial_latency for frame in frames) / len(frames)
+            )
 
-        accuracy = AccuracyReport(true_positives, false_positives, false_negatives)
-        score = ThresholdScore(
+        accuracy = AccuracyReport(fold.true_positives, fold.false_positives, fold.false_negatives)
+        fold.score = ThresholdScore(
             lower=lower,
             upper=upper,
-            bandwidth_utilization=sent_count / len(self._frames),
+            bandwidth_utilization=fold.sent_count / len(frames),
             f_score=accuracy.f_score,
             average_final_latency=sum(final_latencies) / len(final_latencies),
-            average_initial_latency=sum(initial_latencies) / len(initial_latencies),
+            average_initial_latency=self._average_initial_latency,
         )
-        self._cache[key] = score
-        return score
+        return fold.score
+
+    #: Every ``θL ≤ θU`` pair of a grid, in grid order — the evaluator's scan.
+    evaluate_grid = ThresholdEvaluator.evaluate_grid
 
     # -- internal -----------------------------------------------------------
     def _frame_stats(self, frame: _FrameEntry, discarded: int, sent: bool) -> tuple[int, int, int]:
@@ -237,68 +260,22 @@ def coordinate_descent_search(
     evaluator: ThresholdEvaluator | IncrementalThresholdScorer,
     target_f_score: float,
     step: float = 0.05,
-    max_sweeps: int = 10,
 ) -> OptimizationResult:
-    """Multi-start, multi-pass coordinate descent over ``(θL, θU)``.
+    """Scan every ``θL ≤ θU`` grid pair once, in grid order.
 
-    One descent runs per ``θU`` grid line: starting wide at
-    ``(0, θU)``, alternately sweep every grid value of one threshold
-    with the other fixed — moving to the sweep's best pair under the
-    same selection rule as :func:`~repro.core.optimizer.brute_force_search`
-    — until neither axis moves.  The single-start version stalls in
-    local optima (a narrow low-bandwidth band elsewhere in the grid is
-    unreachable one axis at a time), so the starts fan out across the
-    ``θU`` axis; their first sweeps jointly cover every grid pair, and
-    the final winner is chosen over all examined pairs in grid order —
-    **exactly** the brute-force optimum, tie-breaks included.
+    This is :func:`~repro.core.optimizer.brute_force_search` run on the
+    incremental scorer, so scores, optimum and tie-breaks are exactly
+    brute force's.  (A coordinate descent fanned out from every ``θU``
+    start covers the whole grid in its first column sweeps, so this
+    scan is what such a descent reduces to.)
 
     The work is not in the pairs but in the label matching, and that is
     where the incremental scorer wins: each frame is re-matched only
     once per distinct decision state (at most ``2·(detections + 1)``
-    regardless of grid resolution), so the default grid here is twice
-    as fine as the brute-force default at ≥10× fewer full-frame
+    regardless of grid resolution), and each pair folds in only the
+    frames added since its last score.  So the default grid here is
+    twice as fine as the brute-force default at ≥10× fewer full-frame
     label-match operations (tracked in ``frame_rescores``).  Pass the
     same ``step`` to both searches when comparing optima directly.
     """
-    scorer = _scorer_for(evaluator)
-    values = _grid(step)
-    rescores_before = scorer.frame_rescores
-    examined: dict[tuple[float, float], ThresholdScore] = {}
-
-    def score_of(pair_lower: float, pair_upper: float) -> ThresholdScore:
-        key = (round(pair_lower, 6), round(pair_upper, 6))
-        if key not in examined:
-            examined[key] = scorer.evaluate(*key)
-        return examined[key]
-
-    for start_upper in reversed(values):
-        lower, upper = values[0], start_upper
-        for _ in range(max_sweeps):
-            moved = False
-
-            column = [score_of(value, upper) for value in values if value <= upper]
-            best = _select_best(column, target_f_score)
-            if best.lower != lower:
-                lower = best.lower
-                moved = True
-
-            row = [score_of(lower, value) for value in values if value >= lower]
-            best = _select_best(row, target_f_score)
-            if best.upper != upper:
-                upper = best.upper
-                moved = True
-
-            if not moved:
-                break
-
-    ordered = sorted(examined.values(), key=lambda s: (s.lower, s.upper))
-    best = _select_best(ordered, target_f_score)
-    feasible = best.f_score >= target_f_score
-    return OptimizationResult(
-        best=best,
-        evaluations=len(examined),
-        target_f_score=target_f_score,
-        feasible=feasible,
-        scores=tuple(ordered),
-        frame_rescores=scorer.frame_rescores - rescores_before,
-    )
+    return brute_force_search(_scorer_for(evaluator), target_f_score, step=step)

@@ -252,6 +252,8 @@ def brute_force_search(
     Among pairs meeting the F-score floor, the pair with the lowest
     bandwidth utilisation wins; latency breaks ties.  When no pair is
     feasible, the highest-F-score pair is returned with ``feasible=False``.
+    ``evaluator`` may also be an
+    :class:`~repro.core.incremental.IncrementalThresholdScorer`.
     """
     rescores_before = evaluator.frame_rescores
     scores = evaluator.evaluate_grid(step=step)

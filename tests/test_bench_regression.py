@@ -7,6 +7,8 @@ import pytest
 from repro.analysis.regression import (
     ARTIFACT_SCHEMA,
     DEFAULT_THRESHOLD,
+    GATED_METRICS,
+    WALL_CLOCK_METRICS,
     compare_artifact_files,
     compare_artifacts,
     migrate_artifact,
@@ -31,6 +33,28 @@ def _artifact(throughput: float, queue_delay: float, edges: int = 2) -> dict:
     }
 
 
+def _stress_artifact(wall_clock_us: float, throughput: float = 40.0) -> dict:
+    """One scale-stress cell: a wall-clock metric next to a simulated one."""
+    return {
+        "scale_stress": [
+            {
+                "label": "smoke",
+                "wall_clock_per_frame_us": wall_clock_us,
+                "throughput_fps": throughput,
+            }
+        ]
+    }
+
+
+def _cell(section: str, **metrics: float) -> dict:
+    """A one-cell artifact of ``section`` carrying ``metrics``."""
+    identity = {
+        "adaptive": {"label": "retune"},
+        "replication": {"replication_factor": 2, "replication_mode": "sync"},
+    }[section]
+    return {section: [{**identity, **metrics}]}
+
+
 class TestCompareArtifacts:
     def test_identical_artifacts_pass(self):
         artifact = _artifact(10.0, 500.0)
@@ -40,8 +64,10 @@ class TestCompareArtifacts:
         assert "PASS" in result.describe()
 
     def test_small_drift_within_threshold_passes(self):
-        result = compare_artifacts(_artifact(10.0, 500.0), _artifact(9.0, 550.0))
+        """Wall clock may drift up to the threshold on the same seed."""
+        result = compare_artifacts(_stress_artifact(24.0), _stress_artifact(27.0))
         assert result.passed
+        assert compare_artifacts(_stress_artifact(24.0), _stress_artifact(20.0)).passed
 
     def test_throughput_collapse_fails(self):
         result = compare_artifacts(_artifact(10.0, 500.0), _artifact(5.0, 500.0))
@@ -57,7 +83,7 @@ class TestCompareArtifacts:
         assert drift.relative_drift == pytest.approx(0.6)
 
     def test_custom_threshold(self):
-        baseline, candidate = _artifact(10.0, 500.0), _artifact(8.9, 500.0)
+        baseline, candidate = _stress_artifact(10.0), _stress_artifact(8.9)
         assert compare_artifacts(baseline, candidate, threshold=0.2).passed
         assert not compare_artifacts(baseline, candidate, threshold=0.1).passed
         with pytest.raises(ValueError):
@@ -91,6 +117,37 @@ class TestCompareArtifacts:
         assert any(d.metric == "f_score" for d in dropped.regressions)
         blowup = compare_artifacts(baseline, adaptive_artifact(0.9, 8000.0))
         assert any(d.metric == "tuner_frame_rescores" for d in blowup.regressions)
+
+    def test_wall_clock_blowup_past_the_threshold_fails(self):
+        result = compare_artifacts(_stress_artifact(24.0), _stress_artifact(30.0))
+        assert [d.metric for d in result.regressions] == ["wall_clock_per_frame_us"]
+        assert result.regressions[0].tolerance == DEFAULT_THRESHOLD
+
+    @pytest.mark.parametrize(
+        "baseline, candidate",
+        [
+            (_artifact(10.0, 500.0), _artifact(9.9, 500.0)),  # throughput_fps
+            (_artifact(10.0, 500.0), _artifact(10.0, 500.001)),  # mean_queue_delay_ms
+            (_cell("adaptive", f_score=0.9), _cell("adaptive", f_score=0.9000001)),
+            (
+                _cell("adaptive", tuner_frame_rescores=1000),
+                _cell("adaptive", tuner_frame_rescores=999),
+            ),
+            (_cell("replication", downtime_ms=12.5), _cell("replication", downtime_ms=12.6)),
+            (_stress_artifact(24.0, throughput=40.0), _stress_artifact(24.0, throughput=40.1)),
+        ],
+    )
+    def test_seeded_simulated_metrics_are_gated_exactly(self, baseline, candidate):
+        """A seeded metric that moves at all — even far inside the
+        wall-clock threshold, and in the better direction — fails."""
+        result = compare_artifacts(baseline, candidate, threshold=0.5)
+        assert not result.passed
+        assert all(d.metric not in WALL_CLOCK_METRICS for d in result.regressions)
+        assert all(d.tolerance == 0.0 for d in result.regressions)
+
+    def test_only_wall_clock_metrics_get_a_tolerance(self):
+        assert WALL_CLOCK_METRICS == {"wall_clock_per_frame_us"}
+        assert WALL_CLOCK_METRICS <= set(GATED_METRICS)
 
     def test_zero_baseline_is_only_flagged_when_candidate_moves(self):
         baseline = _artifact(0.0, 0.0)
@@ -168,12 +225,24 @@ class TestCompareReportsScript:
         assert code == 1
 
     def test_clean_candidate_exits_zero(self, script_main, tmp_path):
+        """Same seeded metrics, wall clock within the threshold."""
+        baseline = tmp_path / "baseline.json"
+        candidate = tmp_path / "candidate.json"
+        baseline.write_text(json.dumps({**_artifact(10.0, 500.0), **_stress_artifact(24.0)}))
+        candidate.write_text(json.dumps({**_artifact(10.0, 500.0), **_stress_artifact(26.0)}))
+        code = script_main(["--baseline", str(baseline), "--candidate", str(candidate)])
+        assert code == 0
+
+    def test_any_seeded_metric_change_exits_nonzero(self, script_main, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
         candidate = tmp_path / "candidate.json"
         baseline.write_text(json.dumps(_artifact(10.0, 500.0)))
         candidate.write_text(json.dumps(_artifact(10.5, 480.0)))
-        code = script_main(["--baseline", str(baseline), "--candidate", str(candidate)])
-        assert code == 0
+        code = script_main(
+            ["--baseline", str(baseline), "--candidate", str(candidate), "--threshold", "0.5"]
+        )
+        assert code == 1
+        assert "0% allowed" in capsys.readouterr().out
 
     def test_v5_baseline_is_migrated_and_still_gates(self, script_main, tmp_path, capsys):
         """A migratable baseline is lifted, then gated for real: a clean

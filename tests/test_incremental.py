@@ -3,12 +3,16 @@
 The contract under test is exactness: ``IncrementalThresholdScorer`` is
 a *performance* rewrite of ``ThresholdEvaluator.evaluate`` — every score
 it returns must be bit-identical to the evaluator's, and
-``coordinate_descent_search`` must land on the same optimum as
-``brute_force_search`` (same grid, same tie-breaks) while re-matching
-far fewer frames.
+``coordinate_descent_search`` must produce the same scores and optimum
+as ``brute_force_search`` (same grid, same tie-breaks) while re-matching
+far fewer frames.  Pair scores fold in new frames instead of being
+rebuilt, so every score after an ``add_frame`` must still equal one
+built from scratch.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import CroesusConfig
 from repro.core.incremental import IncrementalThresholdScorer, coordinate_descent_search
-from repro.core.optimizer import ThresholdEvaluator, brute_force_search
+from repro.core.optimizer import ThresholdEvaluator, _grid, brute_force_search
 from repro.core.results import FrameTrace, LatencyBreakdown
 from repro.detection.geometry import BoundingBox
 from repro.detection.labels import Detection, LabelSet
@@ -58,6 +62,20 @@ trace_lists = st.lists(frame_contents, min_size=1, max_size=12)
 threshold_pairs = st.tuples(confidences, confidences).map(
     lambda pair: (min(pair), max(pair))
 )
+
+#: Interleaved scorer operations: append a frame, or score a pair.
+scorer_operations = st.lists(
+    st.one_of(
+        frame_contents.map(lambda frame: ("add", frame)),
+        threshold_pairs.map(lambda pair: ("evaluate", pair)),
+    ),
+    max_size=16,
+)
+
+
+def _grid_pairs(step: float) -> list[tuple[float, float]]:
+    values = _grid(step)
+    return [(lower, upper) for lower in values for upper in values if lower <= upper]
 
 
 def _build_traces(contents) -> list[FrameTrace]:
@@ -109,21 +127,50 @@ class TestScorerMatchesEvaluator:
         for lower, upper in walk:
             assert scorer.evaluate(lower, upper) == evaluator.evaluate(lower, upper)
 
-    @given(trace_lists, trace_lists, threshold_pairs)
-    @settings(max_examples=30, deadline=None)
-    def test_bit_identical_after_incremental_adds(self, contents, more, pair):
-        """Frames added after scoring started are folded in exactly."""
-        lower, upper = pair
-        initial = _build_traces(contents)
-        evaluator = ThresholdEvaluator(initial)
-        scorer = IncrementalThresholdScorer.from_evaluator(evaluator)
-        scorer.evaluate(lower, upper)  # warm the per-frame statistics
+    @given(trace_lists, threshold_pairs, scorer_operations)
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical_after_incremental_adds(self, contents, pair, operations):
+        """Adds and evaluates interleaved: after every step, each pair
+        scored so far folds in the new frames and must equal a scorer and
+        an evaluator built fresh over the frames so far, bit for bit."""
+        frames = list(contents)
+        scorer = IncrementalThresholdScorer(_build_traces(frames))
+        # Scores are cached by the pair rounded to 6 decimals, and the
+        # first caller's exact values fix the cached pair.
+        scored = {}
+        for kind, argument in [("evaluate", pair)] + operations:
+            if kind == "add":
+                frames.append(argument)
+                scorer.add_frame(_build_traces(frames)[-1])
+            else:
+                scored.setdefault(tuple(round(value, 6) for value in argument), argument)
+            traces = _build_traces(frames)
+            for lower, upper in scored.values():
+                score = scorer.evaluate(lower, upper)
+                assert score == IncrementalThresholdScorer(traces).evaluate(lower, upper)
+                assert score == ThresholdEvaluator(traces).evaluate(lower, upper)
 
-        added = _build_traces(contents + more)[len(initial):]
-        for trace in added:
-            scorer.add_frame(trace)
-        reference = ThresholdEvaluator(initial + added)
-        assert scorer.evaluate(lower, upper) == reference.evaluate(lower, upper)
+    @given(trace_lists, frame_contents)
+    @settings(max_examples=40, deadline=None)
+    def test_one_add_rescores_only_the_new_frame(self, contents, new_frame):
+        """Re-scanning the grid after one add_frame label-matches only the
+        new frame's decision states — at most 2·(k+1) for k detections —
+        and nothing of the older frames."""
+        traces = _build_traces(contents + [new_frame])
+        scorer = IncrementalThresholdScorer(traces[:-1])
+        coordinate_descent_search(scorer, target_f_score=0.8, step=0.05)
+        before = scorer.frame_rescores
+
+        scorer.add_frame(traces[-1])
+        rescan = coordinate_descent_search(scorer, target_f_score=0.8, step=0.05)
+
+        confidences = sorted(d.confidence for d in traces[-1].edge_labels.detections)
+        new_states = set()
+        for lower, upper in _grid_pairs(0.05):
+            discarded = bisect_left(confidences, lower)
+            new_states.add((discarded, bisect_right(confidences, upper) > discarded))
+        assert rescan.frame_rescores == scorer.frame_rescores - before == len(new_states)
+        assert len(new_states) <= 2 * (len(confidences) + 1)
 
     def test_profiled_video_scores_match_on_the_full_grid(self):
         """Real profiled traces, every grid pair: still bit-identical."""
@@ -170,6 +217,18 @@ class TestCoordinateDescent:
         descent = coordinate_descent_search(evaluator, target_f_score=0.8, step=0.05)
         grid_rescores = descent.evaluations * PROFILE_FRAMES
         assert descent.frame_rescores * 10 <= grid_rescores
+
+    @pytest.mark.parametrize("name", ["fig2-v1", "fig2-v2", "fig2-v3", "fig2-v4"])
+    @pytest.mark.parametrize("step", [0.05, 0.1])
+    def test_scans_the_brute_force_grid_score_for_score(self, figure_evaluators, name, step):
+        """The tuner is one grid scan: its scores equal brute force's
+        field for field, in grid order, one evaluation per grid pair."""
+        evaluator = figure_evaluators[name]
+        brute = brute_force_search(evaluator, target_f_score=0.8, step=step)
+        descent = coordinate_descent_search(evaluator, target_f_score=0.8, step=step)
+        assert descent.scores == brute.scores
+        assert [score.pair for score in descent.scores] == _grid_pairs(step)
+        assert descent.evaluations == len(_grid_pairs(step))
 
     def test_infeasible_target_reports_best_effort(self, figure_evaluators):
         evaluator = figure_evaluators["fig2-v1"]
