@@ -91,8 +91,12 @@ class EdgeReplica:
         self.owned_partitions = frozenset(owned_partitions)
         self.discipline = discipline
         self._store = store
+        # Bound to values, not to ``self``: a replica that held a closure
+        # over itself would be a reference cycle, and its run state would
+        # wait for the cycle collector instead of being freed with it.
+        name = f"edge-{edge_id}"
         self._server_factory = server_factory or (
-            lambda: Server(capacity=1, name=f"edge-{self.edge_id}", discipline=self.discipline)
+            lambda: Server(capacity=1, name=name, discipline=discipline)
         )
         #: Finite-capacity server modelling this edge's processor: every
         #: frame stage is admitted here and served for its measured cost.

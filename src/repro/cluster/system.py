@@ -41,6 +41,7 @@ the cluster reproduces the paper's contention behaviour at scale.
 from __future__ import annotations
 
 import gc
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from statistics import mean
@@ -1117,7 +1118,7 @@ class ClusterSystem:
                 transaction_policy=base.transaction_policy,
                 coordinator_channel=self._coordinator_channels[edge_id],
                 discipline=config.edge_discipline,
-                vote_channel_for=self._vote_channel_for,
+                vote_channel_for=self._vote_channel_resolver(),
                 server_factory=self._edge_server_factory(edge_id),
             )
             replica.policy.on_flush = self._make_flush_recorder(edge_id)
@@ -1176,7 +1177,7 @@ class ClusterSystem:
                 num_edges=config.num_edges,
                 factor=config.replication_factor,
                 mode=config.replication_mode,
-                channel_for=lambda edge_id: self._replication_channels[edge_id],
+                channel_for=self._replication_channels.__getitem__,
             )
         if config.wal_group_commit_window_s is not None:
             for replica in self.replicas:
@@ -1223,23 +1224,35 @@ class ClusterSystem:
             interval_retention=FAST_PATH_INTERVAL_RETENTION,
         )
 
-    def _vote_channel_for(self, partition_id: int) -> Channel | None:
-        """Channel of the replica hosting ``partition_id`` (vote latency).
+    def _vote_channel_resolver(self):
+        """Channel of the replica hosting a partition (vote latency).
 
         Participant-side prepare votes are drawn from the *participant's*
         link, not the coordinator's; the partition-home map keeps the
-        resolution correct across runtime re-shards.
+        resolution correct across runtime re-shards.  The resolver closes
+        over the map and the channels, not the system, so the replicas
+        holding it form no reference cycle with the system.
         """
-        edge_id = self._partition_home.get(partition_id)
-        if edge_id is None:
-            return None
-        return self._coordinator_channels[edge_id]
+        partition_home = self._partition_home
+        channels = self._coordinator_channels
+
+        def vote_channel_for(partition_id: int) -> Channel | None:
+            edge_id = partition_home.get(partition_id)
+            if edge_id is None:
+                return None
+            return channels[edge_id]
+
+        return vote_channel_for
 
     def _make_flush_recorder(self, edge_id: int):
-        """Event-log hook for one replica's batched-coordinator flushes."""
+        """Event-log hook for one replica's batched-coordinator flushes.
+
+        Closes over the event log, not the system (no reference cycle).
+        """
+        events = self.events
 
         def record(when: float, transactions: int, remote: frozenset[int], duration: float) -> None:
-            self.events.record(
+            events.record(
                 when,
                 "txn_batch_flush",
                 edge=edge_id,
@@ -1259,16 +1272,21 @@ class ClusterSystem:
         ships the record to the partition's backups as engine events.
         """
 
+        owner = weakref.ref(self)  # the store's log must not keep the system alive
+
         def on_append(record) -> None:
-            engine = self._run_engine
+            system = owner()
+            if system is None:
+                return
+            engine = system._run_engine
             now = engine.now if engine is not None else 0.0
-            home = self._partition_home.get(partition_id)
+            home = system._partition_home.get(partition_id)
             if home is not None:
-                self.replicas[home].policy.observe_wal_append(now)
-            if self._replication is not None:
-                shipped = self._replication.ship(partition_id, record, now)
+                system.replicas[home].policy.observe_wal_append(now)
+            if system._replication is not None:
+                shipped = system._replication.ship(partition_id, record, now)
                 if shipped:
-                    self.events.record(
+                    system.events.record(
                         now,
                         "log_shipped",
                         partition=partition_id,
@@ -1936,7 +1954,12 @@ class ClusterSystem:
                     )
 
             observed = observed_labels(
-                policy, initial, cloud_labels, send_to_cloud, match_overlap
+                policy.surviving_labels(initial.labels),
+                cloud_labels,
+                send_to_cloud,
+                initial.frame_id,
+                match_overlap,
+                final.match_report,
             )
             accuracy = evaluate_detections(
                 observed, cloud_labels, min_overlap=match_overlap
@@ -1988,7 +2011,9 @@ class ClusterSystem:
                         accuracy=accuracy,
                         edge_id=edge_id,
                     )
-                adaptation.observe_frame(name, send_to_cloud, final.corrections, trace)
+                adaptation.observe_frame(
+                    name, send_to_cloud, final.corrections, trace, final.match_report
+                )
             result.frames_streamed += 1
             if traffic is not None and not frame_aborted:
                 traffic.completed_frames += 1
@@ -2238,11 +2263,12 @@ class ClusterSystem:
             )
 
         observed = observed_labels(
-            policy,
-            initial,
+            policy.surviving_labels(initial.labels),
             cloud_labels,
             send_to_cloud,
+            initial.frame_id,
             self.config.base.match_overlap,
+            final.match_report,
         )
         accuracy = evaluate_detections(
             observed, cloud_labels, min_overlap=self.config.base.match_overlap
@@ -2302,7 +2328,11 @@ class ClusterSystem:
                     edge_id=edge_id,
                 )
             adaptation.observe_frame(
-                arrival.stream_name, send_to_cloud, final.corrections, feedback_trace
+                arrival.stream_name,
+                send_to_cloud,
+                final.corrections,
+                feedback_trace,
+                final.match_report,
             )
         if state.traffic is not None and not frame_aborted:
             state.traffic.completed_frames += 1

@@ -27,11 +27,13 @@ Two controller modes (:data:`ADAPTATION_MODES`):
     whose cloud labels the edge actually observes) is appended to a
     per-stream :class:`~repro.core.incremental.IncrementalThresholdScorer`,
     and each adaptation tick runs one grid scan
-    (:func:`~repro.core.incremental.coordinate_descent_search`) whose
-    pair scores fold in only the frames validated since the last tick.
+    (:meth:`~repro.core.incremental.IncrementalThresholdScorer.search`,
+    the optimum of :func:`~repro.core.incremental.coordinate_descent_search`)
+    whose pair counts fold in only the frames validated since the last
+    tick.
     The tuner work is metered:
-    ``tuner_evaluations`` counts scored pairs, ``tuner_frame_rescores``
-    counts full-frame label matches actually performed, and
+    ``tuner_evaluations`` counts scanned pairs, ``tuner_frame_rescores``
+    counts per-frame decision states actually scored, and
     ``tuner_grid_rescores`` what the non-incremental evaluator would
     have paid for the same pairs — the ≥10× reduction the benchmark
     artifact gates.
@@ -47,6 +49,7 @@ from dataclasses import dataclass
 
 from repro.core.results import FrameTrace
 from repro.core.thresholds import ThresholdPolicy
+from repro.detection.matching import MatchReport
 
 #: Supported values of the ``threshold_adaptation`` axis.
 ADAPTATION_MODES = ("feedback", "retune")
@@ -130,7 +133,13 @@ class _WindowedController:
         self._window_sent = 0
         self._window_corrected = 0
 
-    def observe(self, sent: bool, corrections: int, trace: FrameTrace | None = None) -> None:
+    def observe(
+        self,
+        sent: bool,
+        corrections: int,
+        trace: FrameTrace | None = None,
+        report: MatchReport | None = None,
+    ) -> None:
         """Fold one served frame's outcome into the current window."""
         self._window_frames += 1
         if sent:
@@ -211,14 +220,18 @@ class _RetuneController(_WindowedController):
         self._scorer = IncrementalThresholdScorer(match_overlap=match_overlap)
         self._tuned_at_frames = 0
 
-    def observe(self, sent: bool, corrections: int, trace: FrameTrace | None = None) -> None:
-        super().observe(sent, corrections, trace)
+    def observe(
+        self,
+        sent: bool,
+        corrections: int,
+        trace: FrameTrace | None = None,
+        report: MatchReport | None = None,
+    ) -> None:
+        super().observe(sent, corrections, trace, report)
         if sent and trace is not None:
-            self._scorer.add_frame(trace)
+            self._scorer.add_frame(trace, report)
 
     def adapt(self, now: float) -> ThresholdUpdate | None:
-        from repro.core.incremental import coordinate_descent_search
-
         self._drain_window()
         num_frames = self._scorer.num_frames
         if num_frames < self.config.min_samples or num_frames == self._tuned_at_frames:
@@ -226,9 +239,7 @@ class _RetuneController(_WindowedController):
             # re-running the search would return the same optimum.
             return None
         self._tuned_at_frames = num_frames
-        result = coordinate_descent_search(
-            self._scorer, self.config.target_f, step=self.config.step
-        )
+        result = self._scorer.search(self.config.target_f, step=self.config.step)
         self.tuner_evaluations += result.evaluations
         self.tuner_frame_rescores += result.frame_rescores
         # What ThresholdEvaluator.evaluate() would have cost for the same
@@ -285,14 +296,17 @@ class AdaptationManager:
         sent: bool,
         corrections: int,
         trace: FrameTrace | None = None,
+        report: MatchReport | None = None,
     ) -> None:
         """Record one served frame's feedback for its stream's controller.
 
         ``trace`` carries the validated frame's labels for the retune
         mode; callers may skip building it when :attr:`wants_traces` is
-        False or the frame was not validated.
+        False or the frame was not validated.  ``report`` is the edge's
+        match of the frame's edge labels against its cloud labels, which
+        spares the tuner matching the frame again.
         """
-        self.controller(stream).observe(sent, corrections, trace)
+        self.controller(stream).observe(sent, corrections, trace, report)
 
     def adapt_all(self, now: float) -> list[ThresholdUpdate]:
         """Run one adaptation tick over every stream; return the moves."""

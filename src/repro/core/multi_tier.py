@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from statistics import mean
 from typing import Any, Callable
 
+from repro.core.system import observed_labels
 from repro.core.thresholds import ThresholdPolicy
 from repro.detection.labels import LabelSet
 from repro.detection.matching import match_labels
@@ -217,11 +218,15 @@ class MultiTierPipeline:
             else:
                 report = match_labels(previous_labels, labels, min_overlap=self._match_overlap)
                 corrections = report.corrections_needed
-                corrected = [
-                    match.corrected_label for match in report.matches if match.corrected_label
-                ]
-                corrected.extend(report.unmatched_cloud)
-                observed = LabelSet(frame.frame_id, tuple(corrected), model_name=f"tier-{index}")
+                observed = observed_labels(
+                    previous_labels,
+                    labels,
+                    True,
+                    frame.frame_id,
+                    self._match_overlap,
+                    report,
+                    model_name=f"tier-{index}",
+                )
                 self.policy.stage(transaction, index, labels=observed, now=elapsed)
 
             is_last = index == len(self.tiers) - 1

@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 
 from repro.core.config import CroesusConfig
 from repro.core.results import FrameTrace, LatencyBreakdown, RunResult
-from repro.core.system import CroesusSystem
+from repro.core.system import CroesusSystem, observed_labels
 from repro.core.thresholds import ConfidenceInterval, ThresholdPolicy
 from repro.detection.labels import Detection, LabelSet
-from repro.detection.matching import match_labels
 from repro.detection.metrics import aggregate_reports, evaluate_detections
 from repro.video.library import make_video
 
@@ -147,7 +146,14 @@ class ThresholdEvaluator:
             survivors, sent = _partition_frame(policy, trace.edge_labels)
             self._frame_rescores += 1
 
-            observed = self._observed(survivors, trace.cloud_labels, sent, trace.frame_id)
+            observed = observed_labels(
+                survivors,
+                trace.cloud_labels,
+                sent,
+                trace.frame_id,
+                self._match_overlap,
+                model_name="hypothetical",
+            )
             reports.append(
                 evaluate_detections(observed, trace.cloud_labels, min_overlap=self._match_overlap)
             )
@@ -182,19 +188,6 @@ class ThresholdEvaluator:
             if lower <= upper
         ]
 
-    # -- internal -----------------------------------------------------------
-    def _observed(
-        self,
-        survivors: LabelSet,
-        cloud_labels: LabelSet,
-        sent: bool,
-        frame_id: int,
-    ) -> LabelSet:
-        """Client-visible labels under a hypothetical threshold decision."""
-        return hypothetical_observed(
-            survivors, cloud_labels, sent, frame_id, self._match_overlap
-        )
-
 
 def _partition_frame(policy: ThresholdPolicy, labels: LabelSet) -> tuple[LabelSet, bool]:
     """Survivors and the sent bit from ONE pass over a frame's edge labels.
@@ -216,30 +209,6 @@ def _partition_frame(policy: ThresholdPolicy, labels: LabelSet) -> tuple[LabelSe
         if interval is ConfidenceInterval.VALIDATE:
             sent = True
     return LabelSet(labels.frame_id, tuple(kept), labels.model_name), sent
-
-
-def hypothetical_observed(
-    survivors: LabelSet,
-    cloud_labels: LabelSet,
-    sent: bool,
-    frame_id: int,
-    match_overlap: float,
-) -> LabelSet:
-    """Client-visible labels under a hypothetical threshold decision.
-
-    Unsent frames show the surviving edge labels; sent frames show the
-    cloud-corrected view (matched labels corrected, unmatched cloud
-    labels added) — the same rule the live system applies, replayed
-    against recorded traces.
-    """
-    if not sent:
-        return survivors
-    report = match_labels(survivors, cloud_labels, min_overlap=match_overlap)
-    corrected: list[Detection] = [
-        match.corrected_label for match in report.matches if match.corrected_label is not None
-    ]
-    corrected.extend(report.unmatched_cloud)
-    return LabelSet(frame_id, tuple(corrected), model_name="hypothetical")
 
 
 def brute_force_search(

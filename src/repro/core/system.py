@@ -29,11 +29,11 @@ from repro.core.adaptive import AdaptationConfig, AdaptationManager
 from repro.core.client import Client, ClientResponse
 from repro.core.cloud import CloudNode
 from repro.core.config import ConsistencyLevel, CroesusConfig
-from repro.core.edge import EdgeNode, InitialStageOutcome
+from repro.core.edge import EdgeNode
 from repro.core.results import FrameTrace, LatencyBreakdown, RunResult
 from repro.core.thresholds import ConfidenceInterval, ThresholdPolicy
 from repro.detection.labels import Detection, LabelSet
-from repro.detection.matching import match_labels
+from repro.detection.matching import MatchReport, match_labels
 from repro.detection.metrics import evaluate_detections
 from repro.network.channel import Channel
 from repro.network.latency import SAME_REGION
@@ -58,31 +58,56 @@ LABELS_MESSAGE_BYTES = 2_048
 
 
 def observed_labels(
-    policy: ThresholdPolicy,
-    initial: InitialStageOutcome,
+    survivors: LabelSet,
     cloud_labels: LabelSet,
     sent: bool,
+    frame_id: int,
     match_overlap: float,
+    report: MatchReport | None = None,
+    model_name: str = "croesus-observed",
 ) -> LabelSet:
     """What the client ends up seeing for one frame.
 
     Unvalidated frames show the surviving edge labels.  Validated frames
     show the corrected labels: confirmed/corrected edge labels plus any
     cloud labels the edge missed, with spurious edge labels dropped —
-    exactly what the final sections render.  Shared by the single-edge
-    :class:`CroesusSystem` and the multi-edge cluster system.
+    exactly what the final sections render.
+
+    ``report`` may match any superset of ``survivors`` (same detection
+    objects, frame order) against ``cloud_labels`` at ``match_overlap``,
+    such as the full-frame report of
+    :meth:`~repro.core.edge.EdgeNode.process_final_stage`.  Each edge
+    label's match is independent of the others', so the survivors'
+    matches are read out of it, and cloud labels claimed only by
+    discarded edge labels count as unmatched.  Without a report the
+    survivors are matched here.
+
+    Shared by the live pipelines (single-edge and cluster) and by the
+    threshold optimisers, which replay it against recorded traces as
+    ``model_name="hypothetical"``.
     """
-    survivors = policy.surviving_labels(initial.labels)
     if not sent:
         return survivors
-
-    report = match_labels(survivors, cloud_labels, min_overlap=match_overlap)
-    corrected: list[Detection] = []
-    for match in report.matches:
-        if match.corrected_label is not None:
-            corrected.append(match.corrected_label)
-    corrected.extend(report.unmatched_cloud)
-    return LabelSet(initial.frame_id, tuple(corrected), model_name="croesus-observed")
+    if report is None:
+        report = match_labels(survivors, cloud_labels, min_overlap=match_overlap)
+    matches = report.matches
+    unmatched = report.unmatched_cloud
+    if len(matches) != len(survivors.detections):
+        surviving = {id(detection) for detection in survivors.detections}
+        matches = [match for match in matches if id(match.edge) in surviving]
+        if len(matches) != len(survivors.detections):
+            raise ValueError("match report does not cover every surviving label")
+        claimed = {match.cloud_index for match in matches}
+        unmatched = tuple(
+            detection
+            for index, detection in enumerate(cloud_labels.detections)
+            if index not in claimed
+        )
+    corrected: list[Detection] = [
+        match.corrected_label for match in matches if match.corrected_label is not None
+    ]
+    corrected.extend(unmatched)
+    return LabelSet(frame_id, tuple(corrected), model_name=model_name)
 
 
 @dataclass
@@ -452,7 +477,12 @@ class CroesusSystem:
             self.events.record(engine.now, "final_commit", frame_id=frame.frame_id)
 
             observed = observed_labels(
-                policy, initial, cloud_labels, send_to_cloud, self.config.match_overlap
+                policy.surviving_labels(initial.labels),
+                cloud_labels,
+                send_to_cloud,
+                initial.frame_id,
+                self.config.match_overlap,
+                final.match_report,
             )
             accuracy = evaluate_detections(
                 observed, cloud_labels, min_overlap=self.config.match_overlap
@@ -491,6 +521,7 @@ class CroesusSystem:
                     send_to_cloud,
                     final.corrections,
                     trace if send_to_cloud and adaptation.wants_traces else None,
+                    final.match_report,
                 )
             if progress is not None:
                 progress["remaining"] -= 1
@@ -521,14 +552,3 @@ class CroesusSystem:
                     upper=update.upper,
                 )
             yield interval
-
-    def _observed_labels(
-        self,
-        initial: InitialStageOutcome,
-        cloud_labels: LabelSet,
-        sent: bool,
-    ) -> LabelSet:
-        """What the client ends up seeing for this frame."""
-        return observed_labels(
-            self.policy, initial, cloud_labels, sent, self.config.match_overlap
-        )

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.detection.geometry import overlap_ratio
 from repro.detection.labels import Detection, LabelSet
 
 
@@ -33,14 +32,20 @@ class MatchOutcome(Enum):
     MISSING = "missing"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabelMatch:
-    """Pairing of one edge detection with its cloud counterpart (if any)."""
+    """Pairing of one edge detection with its cloud counterpart (if any).
+
+    ``cloud_index`` is the cloud label's position in the cloud label set
+    (``None`` when the edge label is missing), so a report can be
+    narrowed to a subset of its edge labels without re-matching.
+    """
 
     edge: Detection
     cloud: Detection | None
     outcome: MatchOutcome
     overlap: float
+    cloud_index: int | None = None
 
     @property
     def was_correct(self) -> bool:
@@ -57,7 +62,7 @@ class LabelMatch:
         return self.cloud
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchReport:
     """Full result of matching a frame's edge labels with its cloud labels."""
 
@@ -100,25 +105,40 @@ def match_labels(
     if not 0.0 <= min_overlap <= 1.0:
         raise ValueError("min_overlap must be in [0, 1]")
 
+    cloud = cloud_labels.detections
+    cloud_extents = box_extents(cloud)
     matches: list[LabelMatch] = []
     claimed: set[int] = set()
 
-    for edge_detection in edge_labels:
+    for edge_detection in edge_labels.detections:
+        box = edge_detection.box
+        ex0, ey0, ex1, ey1 = box.x_min, box.y_min, box.x_max, box.y_max
+        edge_area = (ex1 - ex0) * (ey1 - ey0)
         best_index: int | None = None
         best_overlap = 0.0
-        for index, cloud_detection in enumerate(cloud_labels):
-            overlap = overlap_ratio(edge_detection.box, cloud_detection.box)
+        for index, (cx0, cy0, cx1, cy1, cloud_area) in enumerate(cloud_extents):
+            # overlap_ratio(edge box, cloud box), inlined.  A zero overlap
+            # never beats best_overlap (which starts at 0.0), so every
+            # zero branch of the ratio just skips the candidate.
+            x_overlap = (cx1 if cx1 < ex1 else ex1) - (cx0 if cx0 > ex0 else ex0)
+            y_overlap = (cy1 if cy1 < ey1 else ey1) - (cy0 if cy0 > ey0 else ey0)
+            if x_overlap <= 0 or y_overlap <= 0:
+                continue
+            intersection = x_overlap * y_overlap
+            smaller = cloud_area if cloud_area < edge_area else edge_area
+            if intersection == 0.0 or smaller <= 0.0:
+                continue
+            overlap = intersection / smaller
+            # Strict ">" keeps the first cloud index on a tie.
             if overlap >= min_overlap and overlap > best_overlap:
                 best_overlap = overlap
                 best_index = index
 
         if best_index is None:
-            matches.append(
-                LabelMatch(edge=edge_detection, cloud=None, outcome=MatchOutcome.MISSING, overlap=0.0)
-            )
+            matches.append(LabelMatch(edge_detection, None, MatchOutcome.MISSING, 0.0))
             continue
 
-        cloud_detection = cloud_labels.detections[best_index]
+        cloud_detection = cloud[best_index]
         claimed.add(best_index)
         outcome = (
             MatchOutcome.CONFIRMED
@@ -126,17 +146,25 @@ def match_labels(
             else MatchOutcome.CORRECTED
         )
         matches.append(
-            LabelMatch(
-                edge=edge_detection,
-                cloud=cloud_detection,
-                outcome=outcome,
-                overlap=best_overlap,
-            )
+            LabelMatch(edge_detection, cloud_detection, outcome, best_overlap, best_index)
         )
 
     unmatched = tuple(
-        detection
-        for index, detection in enumerate(cloud_labels)
-        if index not in claimed
+        detection for index, detection in enumerate(cloud) if index not in claimed
     )
     return MatchReport(matches=tuple(matches), unmatched_cloud=unmatched)
+
+
+def box_extents(detections: tuple[Detection, ...]) -> list[tuple[float, float, float, float, float]]:
+    """``(x_min, y_min, x_max, y_max, area)`` of each detection's box.
+
+    The area is computed exactly as :attr:`BoundingBox.area` computes it,
+    so an overlap ratio built from these extents is bit-identical to
+    :func:`~repro.detection.geometry.overlap_ratio`.
+    """
+    extents = []
+    for detection in detections:
+        box = detection.box
+        x0, y0, x1, y1 = box.x_min, box.y_min, box.x_max, box.y_max
+        extents.append((x0, y0, x1, y1, (x1 - x0) * (y1 - y0)))
+    return extents

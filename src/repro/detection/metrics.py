@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.detection.geometry import overlap_ratio
 from repro.detection.labels import LabelSet
+from repro.detection.matching import box_extents
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,18 +73,38 @@ def evaluate_detections(
         if truth_count == 0:
             return _EMPTY_REPORT
         return AccuracyReport(0, 0, truth_count)
+    truth_labels = truth.detections
+    truth_extents = box_extents(truth_labels)
     claimed: set[int] = set()
     true_positives = 0
     false_positives = 0
 
-    for prediction in observed:
+    for prediction in observed.detections:
+        name = prediction.name
+        box = prediction.box
+        px0, py0, px1, py1 = box.x_min, box.y_min, box.x_max, box.y_max
+        prediction_area = (px1 - px0) * (py1 - py0)
         matched = False
-        for index, truth_label in enumerate(truth):
+        for index, truth_label in enumerate(truth_labels):
             if index in claimed:
                 continue
-            if truth_label.name != prediction.name:
+            if truth_label.name != name:
                 continue
-            if overlap_ratio(prediction.box, truth_label.box) >= min_overlap:
+            # overlap_ratio(prediction box, truth box), inlined.  The ratio
+            # is compared even when it is 0.0: min_overlap may be 0.
+            tx0, ty0, tx1, ty1, truth_area = truth_extents[index]
+            x_overlap = (tx1 if tx1 < px1 else px1) - (tx0 if tx0 > px0 else px0)
+            y_overlap = (ty1 if ty1 < py1 else py1) - (ty0 if ty0 > py0 else py0)
+            if x_overlap <= 0 or y_overlap <= 0:
+                overlap = 0.0
+            else:
+                intersection = x_overlap * y_overlap
+                smaller = truth_area if truth_area < prediction_area else prediction_area
+                if intersection == 0.0 or smaller <= 0.0:
+                    overlap = 0.0
+                else:
+                    overlap = intersection / smaller
+            if overlap >= min_overlap:
                 claimed.add(index)
                 matched = True
                 break
@@ -93,7 +113,7 @@ def evaluate_detections(
         else:
             false_positives += 1
 
-    false_negatives = len(truth) - len(claimed)
+    false_negatives = len(truth_labels) - len(claimed)
     return AccuracyReport(
         true_positives=true_positives,
         false_positives=false_positives,

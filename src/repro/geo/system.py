@@ -52,6 +52,7 @@ from repro.transactions.policy import (
     COMMIT_MESSAGE_BYTES,
     PREPARE_MESSAGE_BYTES,
     VOTE_MESSAGE_BYTES,
+    weak_listener,
 )
 
 
@@ -265,11 +266,13 @@ class GeoSystem(ClusterSystem):
         controller = replica.controller
         original = controller.commit_listener
         edge_id = replica.edge_id
+        # Weak, so the controller's hook keeps no reference cycle with the system.
+        observe = weak_listener(self._observe_commit_round)
 
         def listener(txn_id: str, participants: frozenset[int]) -> None:
             if original is not None:
                 original(txn_id, participants)
-            self._observe_commit_round(edge_id, txn_id, participants)
+            observe(edge_id, txn_id, participants)
 
         controller.commit_listener = listener
 

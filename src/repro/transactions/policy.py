@@ -42,6 +42,7 @@ differing only in latency and round-trip accounting.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
@@ -188,6 +189,24 @@ class PolicyStats:
         self.log_flushes += other.log_flushes
 
 
+def weak_listener(method: Callable[..., None]) -> Callable[..., None]:
+    """A hook that calls ``method`` without keeping its object alive.
+
+    A policy owns its controller, so handing the controller a bound
+    method of the policy would make the pair a reference cycle, and a
+    finished run's state would then wait for the cycle collector.  Once
+    the object is gone the hook does nothing.
+    """
+    reference = weakref.WeakMethod(method)
+
+    def listener(*args) -> None:
+        bound = reference()
+        if bound is not None:
+            bound(*args)
+
+    return listener
+
+
 class TransactionPolicy:
     """Base adapter: the begin/stage/commit protocol over one controller.
 
@@ -217,7 +236,7 @@ class TransactionPolicy:
         #: Optional flush callback (wired by the systems to the event log).
         self.on_flush: FlushListener | None = None
         if hasattr(controller, "commit_listener"):
-            controller.commit_listener = self._on_commit_round
+            controller.commit_listener = weak_listener(self._on_commit_round)
 
     # -- the protocol --------------------------------------------------------
     def begin(self, transaction: MultiStageTransaction, now: float = 0.0) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.adaptive import (
@@ -184,6 +186,13 @@ class TestAdaptiveScenario:
         first = run_scenario(get_scenario("adaptive-thresholds"))
         second = run_scenario(get_scenario("adaptive-thresholds"))
         assert first.to_dict() == second.to_dict()
+
+    def test_adaptive_thresholds_run_matches_its_golden_pin(self):
+        """The whole seeded run — tuner optima, thresholds, every modelled
+        statistic — pinned bit for bit as the per-pair tuner produced it."""
+        report = run_scenario(get_scenario("adaptive-thresholds"))
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == "80cbb63e5edf223e1e5cf708f76f2ab74de99a563c904c30199d1f8768b84b36"
 
     def test_adaptive_run_reports_the_loop_closure(self):
         report = run_scenario(get_scenario("adaptive-thresholds"))

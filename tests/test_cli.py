@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -85,6 +86,13 @@ class TestCommands:
         brute, descent = payload["methods"]["brute"], payload["methods"]["descent"]
         assert descent["thresholds"] == brute["thresholds"]
         assert descent["frame_rescores"] < brute["frame_rescores"]
+
+    def test_tune_json_matches_its_golden_pin(self, capsys):
+        """Every method's optimum, evaluations and rescores on the default
+        video, pinned bit for bit as the per-pair tuner produced them."""
+        assert main(["tune", "--method", "all", "--json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "1359054adb1127a1b6bb0714d0c9ce8152a8d2c9f1f4aaecd6ac8bf5159f541b"
 
     def test_compare_prints_three_systems(self, capsys):
         assert main(["compare", "--video", "v1", "--frames", "15", "--target", "0.7"]) == 0

@@ -5,13 +5,14 @@ a *performance* rewrite of ``ThresholdEvaluator.evaluate`` — every score
 it returns must be bit-identical to the evaluator's, and
 ``coordinate_descent_search`` must produce the same scores and optimum
 as ``brute_force_search`` (same grid, same tie-breaks) while re-matching
-far fewer frames.  Pair scores fold in new frames instead of being
-rebuilt, so every score after an ``add_frame`` must still equal one
-built from scratch.
+far fewer frames.  The grid's count arrays fold in new frames instead of
+being rebuilt, so every score and optimum after an ``add_frame`` must
+still equal one built from scratch.
 """
 
 from __future__ import annotations
 
+import warnings
 from bisect import bisect_left, bisect_right
 
 import pytest
@@ -236,3 +237,99 @@ class TestCoordinateDescent:
         descent = coordinate_descent_search(evaluator, target_f_score=1.01, step=0.05)
         assert not descent.feasible
         assert descent.best == brute.best
+
+
+# -- the array grid fold vs brute force ---------------------------------------
+
+#: Scorer operations of a runtime tuner: append frames, and tick (scan the grid).
+tuner_operations = st.lists(
+    st.one_of(frame_contents.map(lambda frame: ("add", frame)), st.just(("tick", None))),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _assert_tick_is_brute_force(scorer, frames, target, step):
+    """One tuner tick on ``scorer`` against brute force from scratch."""
+    traces = _build_traces(frames)
+    rescores_before = scorer.frame_rescores
+    tick = scorer.search(target, step=step)
+    descent = coordinate_descent_search(scorer, target, step=step)
+    brute = brute_force_search(ThresholdEvaluator(traces), target, step=step)
+    per_pair = brute_force_search(IncrementalThresholdScorer(traces), target, step=step)
+
+    assert tick.best == descent.best == brute.best
+    assert tick.feasible == descent.feasible == brute.feasible
+    assert tick.evaluations == descent.evaluations == brute.evaluations
+    assert descent.scores == brute.scores
+    # Every (frame, state) the grid reaches is scored exactly once over
+    # the scorer's life, as often as a per-pair scan from scratch scores it.
+    assert scorer.frame_rescores == per_pair.frame_rescores
+    assert tick.frame_rescores == scorer.frame_rescores - rescores_before
+    assert descent.frame_rescores == 0
+
+
+class TestGridFold:
+    @given(trace_lists, tuner_operations, st.sampled_from([0.5, 0.8, 1.01]))
+    @settings(max_examples=40, deadline=None)
+    def test_interleaved_adds_and_ticks_equal_brute_force(self, contents, operations, target):
+        """A target of 1.01 is infeasible, so it exercises the highest-F
+        fallback; the others the minimum-bandwidth rule."""
+        frames = list(contents)
+        scorer = IncrementalThresholdScorer(_build_traces(frames))
+        for kind, frame in operations + [("tick", None)]:
+            if kind == "add":
+                frames.append(frame)
+                scorer.add_frame(_build_traces(frames)[-1])
+            else:
+                _assert_tick_is_brute_force(scorer, frames, target, step=0.1)
+
+    def test_bandwidth_ties_are_broken_by_latency(self):
+        """Validating either frame meets the target at the same bandwidth.
+        The cheaper final latency must win even though validating the
+        other frame scores a higher F — latency ranks before F-score."""
+        frames = [
+            # a sure label, a spurious 0.3 one, and a missed cloud label;
+            # cheap to validate
+            ([(0, 0.99), (5, 0.3)], [0, 1], 0.01, 0.05),
+            # the same at 0.7, but slow to validate
+            ([(2, 0.99), (6, 0.7)], [2, 3], 0.01, 0.40),
+        ]
+        brute = brute_force_search(ThresholdEvaluator(_build_traces(frames)), 0.7, step=0.1)
+        feasible = [score for score in brute.scores if score.f_score >= 0.7]
+        cheapest = min(score.bandwidth_utilization for score in feasible)
+        tied = [score for score in feasible if score.bandwidth_utilization == cheapest]
+        assert len({score.average_final_latency for score in tied}) > 1
+        assert len({score.f_score for score in tied}) > 1
+
+        scorer = IncrementalThresholdScorer(_build_traces(frames))
+        _assert_tick_is_brute_force(scorer, frames, 0.7, step=0.1)
+        best = scorer.search(0.7, step=0.1).best
+        assert best.upper < 0.7  # validates the cheap frame only
+        assert best.f_score < max(score.f_score for score in tied)
+
+    def test_a_tick_raises_no_numpy_warning(self):
+        """Frames without labels make every precision and recall 0/0."""
+        frames = [([], [], 0.01, 0.02), ([], [], 0.02, 0.03)]
+        scorer = IncrementalThresholdScorer(_build_traces(frames))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = scorer.search(0.8, step=0.05)
+            coordinate_descent_search(scorer, 0.8, step=0.05)
+            scorer.add_frame(_build_traces(frames + [([(1, 0.5)], [1, 2], 0.01, 0.02)])[-1])
+            scorer.search(0.8, step=0.05)
+        assert result.best.f_score == 0.0 and not result.feasible
+
+    def test_winner_is_scored_by_evaluate(self):
+        traces = _build_traces([([(0, 0.4), (1, 0.6)], [0, 2], 0.01, 0.02)])
+        scorer = IncrementalThresholdScorer(traces)
+        result = scorer.search(0.5, step=0.1)
+        assert scorer.evaluations == 1
+        assert scorer.evaluate(*result.thresholds) is result.best
+        assert result.scores == ()
+
+    def test_empty_scorer_cannot_search(self):
+        with pytest.raises(ValueError):
+            IncrementalThresholdScorer().search(0.8)
+        with pytest.raises(ValueError):
+            IncrementalThresholdScorer(_build_traces([([], [], 0.1, 0.1)])).search(0.8, step=0.7)
